@@ -63,6 +63,16 @@ python -m pytest -x -q benchmarks/bench_elastic_fleet.py
 echo "== tier-1: benchmark smoke (adversarial chaos day + artifact reproduction) =="
 python -m pytest -x -q benchmarks/bench_adversarial.py
 
+echo "== tier-1: perfbench smoke (traced trade day: the simulated stream must =="
+echo "==         repeat across drains and every span must nest)              =="
+perfbench_out="$(python3 perfbench/run.py --workload trade --seed 1 --seconds 1 --trace 1)"
+echo "${perfbench_out}" | tail -n 1 | grep -q '"correct": true' || {
+  echo "${perfbench_out}" | tail -n 20
+  echo "perfbench smoke: FAILED"
+  exit 1
+}
+echo "perfbench smoke: OK"
+
 echo "== tier-1: example smoke runs (deprecation-clean: examples must not =="
 echo "==         touch the shimmed legacy session/fleet methods)         =="
 for example in examples/*.py; do

@@ -11,6 +11,13 @@ All inter-host traffic (messages to remote agents, migrations) is charged to
 the simulated network through the shared :class:`Transport`, so workflow
 latencies in the benchmarks reflect the number of network hops each figure's
 protocol requires.
+
+Migration, cloning and deactivation copy an aglet's state once, in
+:func:`capture_state`.  Each captured snapshot is handed to exactly one
+:func:`restore_state` — on the destination host, on the clone, or on
+reactivation from storage — which takes ownership of it instead of copying it
+again, so the restored aglet still shares no mutable state with the host or
+the agent it came from.
 """
 
 from __future__ import annotations
@@ -173,7 +180,7 @@ class AgletContext:
         return aglet.proxy
 
     def _receive(self, aglet: Aglet, snapshot: Dict[str, Any], origin: str) -> None:
-        """Install a migrating aglet arriving from ``origin``."""
+        """Install a migrating aglet arriving from ``origin``, consuming ``snapshot``."""
         restore_state(aglet, snapshot)
         aglet.bind(self, aglet.info, aglet.proxy)
         aglet.info.transition(AgletState.ACTIVE)
@@ -205,7 +212,7 @@ class AgletContext:
         aglet.on_deactivating()
         snapshot = capture_state(aglet)
         aglet.info.transition(AgletState.DEACTIVATED)
-        self._storage[aglet.aglet_id] = (type(aglet), dict(snapshot), aglet.info, aglet.proxy)
+        self._storage[aglet.aglet_id] = (type(aglet), snapshot, aglet.info, aglet.proxy)
         self._active.pop(aglet.aglet_id, None)
         aglet.unbind()
         self.transport.metrics.counter("agents.deactivated").increment()

@@ -200,9 +200,20 @@ class AgentHybridRecommender(Recommender):
         profile = self.profile_of(user_id)
         if profile is None or profile.is_empty():
             return []
-        excluded = set(exclude)
+        return self._recommend(
+            user_id, k, category, set(exclude),
+            self.similar_users(user_id, category=category),
+        )
 
-        neighbours = self.similar_users(user_id, category=category)
+    def _recommend(
+        self,
+        user_id: str,
+        k: int,
+        category: Optional[str],
+        excluded: set,
+        neighbours: Sequence[Tuple[str, float]],
+    ) -> List[Recommendation]:
+        """:meth:`recommend` for a non-empty profile, given its neighbour list."""
         neighbour_scores = self._normalized(
             self._neighbour_item_scores(user_id, neighbours, category, excluded)
         )
@@ -263,11 +274,12 @@ class AgentHybridRecommender(Recommender):
         category = (
             next(iter(query_categories)) if len(query_categories) == 1 else None
         )
-        # ONE neighbour lookup serves the whole batch of query items (through
-        # the index when wired in), and the per-(neighbour, category) term
-        # vectors below are extracted and normed once rather than once per
-        # item — the work shared across query items.  Scores are bit-identical
-        # to evaluating each item on its own against the same neighbour list.
+        # ONE neighbour lookup serves the whole batch of query items and the
+        # appended discoveries (through the index when wired in), and the
+        # per-(neighbour, category) term vectors below are extracted and
+        # normed once rather than once per item — the work shared across
+        # query items.  Scores are bit-identical to evaluating each item on
+        # its own against the same neighbour list.
         neighbours = self.similar_users(user_id, category=category)
         neighbour_profiles = [
             self.profile_of(neighbour) for neighbour, _ in neighbours
@@ -319,10 +331,12 @@ class AgentHybridRecommender(Recommender):
         ranked.sort(key=lambda rec: (-rec.score, rec.item_id))
         ranked = ranked[:k]
 
-        if extra > 0:
+        if extra > 0 and profile is not None and not profile.is_empty():
+            # The discoveries reuse this query's neighbour list: nothing has
+            # touched the index since the lookup above, so a second search
+            # would return the same list.
             already = {rec.item_id for rec in ranked} | {item.item_id for item in query_items}
-            discoveries = self.recommend(
-                user_id, k=extra, category=category, exclude=already
+            ranked.extend(
+                self._recommend(user_id, extra, category, already, neighbours)
             )
-            ranked.extend(discoveries)
         return ranked

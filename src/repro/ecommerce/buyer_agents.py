@@ -30,14 +30,17 @@ from typing import Any, Dict, List, Optional
 
 from repro.errors import (
     AuthenticationError,
+    DispatchError,
     ECommerceError,
     LoginError,
     MarketplaceError,
+    NetworkError,
     TransactionError,
     UnknownUserError,
 )
 from repro.agents.aglet import Aglet
 from repro.agents.messages import Message, MessageKinds, Reply
+from repro.agents.security import AuthenticationService
 from repro.core.items import Item
 from repro.core.profile import Profile
 from repro.core.profile_learning import FeedbackEvent
@@ -445,8 +448,6 @@ class MobileBuyerAgent(Aglet):
             remaining = []
         # Mobile agents are "robust and fault-tolerant" (§1): a marketplace
         # that became unreachable mid-itinerary is skipped, not fatal.
-        from repro.errors import DispatchError, NetworkError
-
         while remaining:
             next_host = remaining.pop(0)
             try:
@@ -465,8 +466,6 @@ class MobileBuyerAgent(Aglet):
             if self.credential is None:
                 return Reply.failure(message.kind, "MBA carries no credential",
                                      message.correlation_id)
-            from repro.agents.security import AuthenticationService
-
             response = AuthenticationService.respond(self.credential, challenge)
             return message.reply(credential=self.credential, response=response)
         if message.kind == "mba.collect-results":

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import build_platform
 from repro.agents.lifecycle import AgletState
 from repro.errors import SessionError
 from repro.experiments.figures import QUERY_WORKFLOW_STEPS
@@ -107,3 +108,50 @@ class TestQueryWorkflow:
         session.query("electronics")
         assert session.bra_id == bra_before
         assert platform.buyer_server.context.active_count("BRA") == 1
+
+
+class TestQueryNeighbourSearch:
+    """A query request runs one neighbour search, shared with its discoveries."""
+
+    @pytest.fixture
+    def community(self):
+        """A 1-server platform where a few consumers have bought and rated."""
+        platform = build_platform(seed=0)
+        gateway = platform.gateway()
+        books = sorted(
+            (item for item in platform.catalog_view() if item.category == "books"),
+            key=lambda item: item.item_id,
+        )
+        for index in range(8):
+            user = f"neighbour-{index}"
+            gateway.login(user)
+            for item in books[index % 3:index % 3 + 4]:
+                assert gateway.rate(user, item, 3.0 + index % 3).ok
+            gateway.logout(user)
+        gateway.login("alice")
+        assert gateway.rate("alice", books[0], 5.0).ok
+        # A keyword that hits a few books, leaving the rest to be discovered.
+        return platform, gateway, books[0].terms[0][0]
+
+    def test_query_runs_exactly_one_neighbour_search(self, community):
+        platform, gateway, keyword = community
+        index = platform.buyer_server.recommendations.neighbor_index
+        before = index.queries
+        response = gateway.query("alice", keyword)
+        assert response.ok and response.result.hits
+        assert index.queries - before == 1
+
+    def test_discoveries_equal_a_standalone_recommend(self, community):
+        platform, gateway, keyword = community
+        response = gateway.query("alice", keyword)
+        hits = response.result.hits
+        recommendations = list(response.result.recommendations)
+        ranked = [rec for rec in recommendations if rec.reason == "ranked query result"]
+        discoveries = recommendations[len(ranked):]
+        assert discoveries, "the community must yield similar-consumer discoveries"
+        categories = {hit.item.category for hit in hits}
+        category = next(iter(categories)) if len(categories) == 1 else None
+        already = {rec.item_id for rec in ranked} | {hit.item.item_id for hit in hits}
+        hybrid = platform.buyer_server.recommendations.hybrid
+        standalone = hybrid.recommend("alice", k=5, category=category, exclude=already)
+        assert discoveries == standalone
